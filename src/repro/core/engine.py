@@ -42,6 +42,14 @@ Two moment policies cover the two solver families:
   :class:`SampleStore`; the build stage re-whitens them into an implicit
   operator. State is ``O(N · Σ d_p)`` — far below ``∏ d_p`` in exactly
   the high-dimensional regime the implicit solver exists for.
+
+Every dense fit — one-shot ``fit``/``fit_stream``, ``partial_fit``,
+``fit_moments`` and the distributed reduce — builds ``M`` through
+:func:`build_stage` from a ``track_tensor`` state: the cold-fit builder
+:func:`whitened_covariance_tensor` is that stage composition, so a cold
+fit is bit-identical to a first refresh on the same batch and a stream is
+read once. The implicit cold builders whiten the caller's resident views
+(or re-read the stream) instead of retaining a copy of them.
 """
 
 from __future__ import annotations
@@ -52,10 +60,9 @@ from functools import partial
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.linalg.covariance import covariance_tensor
 from repro.linalg.whitening import regularized_inverse_sqrt
 from repro.parallel.executors import ExecutionPolicy
-from repro.parallel.sharding import accumulate_parallel, parallel_chunk_size
+from repro.parallel.sharding import accumulate_parallel
 from repro.streaming.covariance import (
     StreamingCovariance,
     StreamingCovarianceTensor,
@@ -63,7 +70,6 @@ from repro.streaming.covariance import (
     screen_chunks,
 )
 from repro.streaming.views import (
-    ArrayViewStream,
     ViewStream,
     as_view_stream,
     iter_validated_chunks,
@@ -80,7 +86,6 @@ from repro.tensor.operator import CovarianceTensorOperator
 from repro.utils.validation import check_views, ensure_2d
 
 __all__ = [
-    "ChunkWhitener",
     "DecompositionSpec",
     "FinalizedFit",
     "MomentState",
@@ -143,42 +148,12 @@ def _whiten_view(whitener, view, mean) -> np.ndarray:
     return whitener @ (np.asarray(view, dtype=np.float64) - mean)
 
 
-def _accumulate_dtype(dtype_policy):
-    """Moment-accumulation dtype of a policy (``None`` → float64 default)."""
-    return None if dtype_policy is None else dtype_policy.accumulate
-
-
 def _compute_cast(array, dtype_policy):
     """Cast a finalized array to the policy's compute dtype (no-op when
     the policy is absent or already float64 — the bit-for-bit default)."""
     if dtype_policy is None:
         return array
     return array.astype(dtype_policy.compute, copy=False)
-
-
-class ChunkWhitener:
-    """Picklable per-chunk whitening transform for parallel accumulation.
-
-    Applies the fitted per-view centering and whitening maps to one
-    aligned minibatch — the ``transform`` hook of
-    :func:`repro.parallel.sharding.accumulate_parallel` during the second
-    (tensor-assembly) pass of a parallel streaming fit.
-    """
-
-    def __init__(self, whiteners, means):
-        self.whiteners = [
-            np.asarray(whitener, dtype=np.float64) for whitener in whiteners
-        ]
-        self.means = [
-            np.asarray(mean, dtype=np.float64).reshape(-1, 1)
-            for mean in means
-        ]
-
-    def __call__(self, chunks) -> list[np.ndarray]:
-        return [
-            _whiten_view(whitener, chunk, mean)
-            for whitener, chunk, mean in zip(self.whiteners, chunks, self.means)
-        ]
 
 
 # -- stage payloads ---------------------------------------------------------
@@ -376,9 +351,9 @@ class MomentState:
         :meth:`merge`, so shards accumulated under different precision
         policies cannot be silently combined.
 
-    With both flags off only per-view statistics are kept — the cold fit
-    paths' first pass (means + whiteners), where ``M`` is then assembled
-    directly from the still-available source data.
+    With both flags off only per-view statistics are kept — the implicit
+    cold fit paths' first pass (means + whiteners), where the operator is
+    then built directly from the still-available source data.
     """
 
     def __init__(
@@ -832,23 +807,8 @@ def build_stage(
             f"unknown build solver {solver!r}; expected 'dense' or "
             "'implicit'"
         )
-    view_triples = list(
-        zip(whitening.whiteners, moments.samples.views, whitening.means)
-    )
-    if _is_parallel(policy):
-        whitened = policy.starmap(_whiten_view, view_triples)
-    else:
-        whitened = [
-            _whiten_view(whitener, view, mean)
-            for whitener, view, mean in view_triples
-        ]
-    whitened = [_compute_cast(view, dtype_policy) for view in whitened]
-    operator = CovarianceTensorOperator.from_views(whitened, policy=policy)
-    return WhitenedTensor(
-        means=whitening.means,
-        whiteners=whitening.whiteners,
-        operator=operator,
-        epsilon=whitening.epsilon,
+    return _implicit_state(
+        whitening, moments.samples.views, policy, dtype_policy
     )
 
 
@@ -939,109 +899,64 @@ def finalize_stage(
     )
 
 
-# -- cold-fit builders (whiten-first arithmetic) ----------------------------
+def _implicit_state(
+    whitening: WhiteningState, views, policy, dtype_policy
+) -> WhitenedTensor:
+    """Whiten resident raw views into an implicit-operator state.
 
-
-def _whitening_from_views(views, epsilon: float, policy=None):
-    """Means, whiteners, and whitened views of a batch dataset."""
-    views = check_views(views, min_views=2)
-    moments = ingest_stage(MomentState(), views, policy=policy)
-    whitening = whiten_stage(moments, epsilon, policy=policy)
+    The one whitening pass of the implicit path, shared by
+    :func:`build_stage` (retained samples) and
+    :func:`whitened_covariance_operator` (a caller's batch); a parallel
+    ``policy`` whitens one view per task.
+    """
     view_triples = list(zip(whitening.whiteners, views, whitening.means))
     if _is_parallel(policy):
-        whitened_views = policy.starmap(_whiten_view, view_triples)
+        whitened = policy.starmap(_whiten_view, view_triples)
     else:
-        whitened_views = [
-            _whiten_view(whitener, view, mean)
-            for whitener, view, mean in view_triples
-        ]
-    return whitening.means, whitening.whiteners, whitened_views
+        whitened = [_whiten_view(*triple) for triple in view_triples]
+    whitened = [_compute_cast(view, dtype_policy) for view in whitened]
+    return WhitenedTensor(
+        means=whitening.means,
+        whiteners=whitening.whiteners,
+        operator=CovarianceTensorOperator.from_views(whitened, policy=policy),
+        epsilon=whitening.epsilon,
+    )
+
+
+# -- cold-fit builders (stage compositions) ---------------------------------
 
 
 def whitened_covariance_tensor(
-    views, epsilon: float, *, policy=None, dtype_policy=None
+    source, epsilon: float, *, policy=None, dtype_policy=None
 ) -> WhitenedTensor:
     """Compute the whitening state and dense tensor ``M`` (Theorem 2).
 
-    ``M = C ×_1 C̃_11^{-1/2} … ×_m C̃_mm^{-1/2}`` equals the covariance
-    tensor of the whitened views, so ``C`` itself is never materialized —
-    the cold batch path whitens the (still available) data first and
-    accumulates whitened moments, which keeps every accumulated value
-    ``O(1)``-scaled. Incremental refits, which no longer hold the data,
-    use the mode-product form over stored raw moments instead
-    (:func:`build_stage`); the two agree to round-off.
+    The dense cold fit of :meth:`~repro.core.tcca.TCCA.fit` and
+    :meth:`~repro.core.tcca.TCCA.fit_stream`: ``source`` (views or
+    anything :func:`ingest_stage` accepts) is folded into a fresh
+    ``track_tensor`` :class:`MomentState` in one pass, whitened, and
+    ``M = C ×_1 C̃_11^{-1/2} … ×_m C̃_mm^{-1/2}`` is built from the stored
+    raw moments (:func:`build_stage`) — so a cold fit is bit-identical to
+    :meth:`~repro.core.tcca.TCCA.fit_moments` and a first
+    :meth:`~repro.core.tcca.TCCA.partial_fit` on the same batch. The
+    state's ``nan_policy`` stays ``"raise"``: a one-shot build never
+    skips samples.
 
-    A parallel ``policy`` runs both the whitening pass and the tensor
-    accumulation as sharded map-reduce over sample chunks, reduced with
-    the accumulators' exact ``merge()`` — same ``M`` to round-off.
+    A parallel ``policy`` runs the ingest as sharded map-reduce, reduced
+    with the exact :meth:`MomentState.merge` — same ``M`` to round-off.
+    Each worker holds its own ``∏ d_p`` accumulator, so peak accumulation
+    memory scales to ``n_workers × ∏ d_p`` (still independent of ``N``).
+    Keep ``n_jobs`` at 1 when ``∏ d_p`` is near the memory ceiling, or
+    use the implicit solver.
     """
-    means, whiteners, whitened_views = _whitening_from_views(
-        views, epsilon, policy
+    accumulate = None if dtype_policy is None else dtype_policy.accumulate
+    moments = ingest_stage(
+        MomentState(track_tensor=True, dtype=accumulate), source, policy=policy
     )
-    accumulate = _accumulate_dtype(dtype_policy)
-    if _is_parallel(policy):
-        dims = [view.shape[0] for view in whitened_views]
-        accumulator = accumulate_parallel(
-            ArrayViewStream(
-                whitened_views,
-                chunk_size=parallel_chunk_size(
-                    whitened_views[0].shape[1], policy.n_workers
-                ),
-            ),
-            partial(
-                StreamingCovarianceTensor,
-                dims=dims,
-                center=False,
-                track_view_covariances=False,
-                dtype=accumulate,
-            ),
-            policy,
-        )
-        tensor = accumulator.tensor()
-    else:
-        tensor = covariance_tensor(
-            whitened_views,
-            dtype=np.float64 if accumulate is None else accumulate,
-        )
-    return WhitenedTensor(
-        means=means,
-        whiteners=whiteners,
-        tensor=_compute_cast(tensor, dtype_policy),
-        epsilon=epsilon,
-    )
-
-
-def whitened_covariance_operator(
-    views, epsilon: float, *, policy=None, dtype_policy=None
-) -> WhitenedTensor:
-    """Whitening state with ``M`` as an implicit operator — no ``∏ d_p``.
-
-    The tensor-free counterpart of :func:`whitened_covariance_tensor`:
-    identical means and whiteners, but ``M`` is represented by a
-    :class:`~repro.tensor.operator.CovarianceTensorOperator` over the
-    whitened views, so peak memory stays ``O(Σ d_p (d_p + N))`` however
-    large ``∏ d_p`` grows. A parallel ``policy`` shards the whitening
-    pass and threads the operator's blocked contraction kernels.
-    """
-    means, whiteners, whitened_views = _whitening_from_views(
-        views, epsilon, policy
-    )
-    whitened_views = [
-        _compute_cast(view, dtype_policy) for view in whitened_views
-    ]
-    operator = CovarianceTensorOperator.from_views(
-        whitened_views, policy=policy
-    )
-    return WhitenedTensor(
-        means=means, whiteners=whiteners, operator=operator, epsilon=epsilon
-    )
-
-
-def _streaming_whitening_pass(stream, epsilon: float, policy=None):
-    """First stream pass: exact means and whiteners per view."""
-    moments = ingest_stage(MomentState(), stream, policy=policy)
     whitening = whiten_stage(moments, epsilon, policy=policy)
-    return whitening.means, whitening.whiteners
+    return build_stage(
+        moments, whitening, "dense", dtype_policy=dtype_policy
+    )
 
 
 def whitened_covariance_tensor_streaming(
@@ -1054,57 +969,36 @@ def whitened_covariance_tensor_streaming(
 ) -> WhitenedTensor:
     """Out-of-core version of :func:`whitened_covariance_tensor`.
 
-    Makes two passes over a :class:`~repro.streaming.views.ViewStream`
-    (or anything :func:`~repro.streaming.views.as_view_stream` accepts):
-
-    1. per-view :class:`~repro.streaming.covariance.StreamingCovariance`
-       accumulators collect exact means and covariances ``C_pp``, from
-       which the whiteners ``C̃_pp^{-1/2}`` are built;
-    2. each chunk is centered with the exact means, whitened, and fed to a
-       :class:`~repro.streaming.covariance.StreamingCovarianceTensor`
-       that assembles ``M`` — the covariance tensor of the whitened views.
-
-    Peak accumulation memory is ``∏ d_p`` plus one chunk, independent of
-    ``N``; the result matches the batch path to floating-point round-off,
-    so downstream CP solves agree to tight tolerance. A parallel
-    ``policy`` runs both passes as sharded map-reduce (workers whiten
-    their shard's chunks on the fly) with the same numerical guarantee —
-    but each worker holds its own moment accumulator, so peak
-    accumulation memory scales to ``n_workers × ∏ d_p`` (still
-    independent of ``N``). Keep ``n_jobs`` at 1 when ``∏ d_p`` is near
-    the memory ceiling, or use the implicit solver.
+    Coerces ``stream`` with :func:`~repro.streaming.views.as_view_stream`
+    (so plain views are consumed in chunks) and makes a single pass over
+    it: peak accumulation memory is the ``∏ d_p`` moment state plus one
+    chunk, independent of ``N``, and the result matches the batch path to
+    floating-point round-off.
     """
-    stream = as_view_stream(stream, chunk_size)
-    policy = policy if _is_parallel(policy) else None
-    means, whiteners = _streaming_whitening_pass(stream, epsilon, policy)
-    dims = tuple(whitener.shape[0] for whitener in whiteners)
-    factory = partial(
-        StreamingCovarianceTensor,
-        dims=dims,
-        center=False,
-        shifts=[0.0] * len(dims),
-        track_view_covariances=False,
-        dtype=_accumulate_dtype(dtype_policy),
+    return whitened_covariance_tensor(
+        as_view_stream(stream, chunk_size),
+        epsilon,
+        policy=policy,
+        dtype_policy=dtype_policy,
     )
-    if policy is not None:
-        accumulator = accumulate_parallel(
-            stream, factory, policy, transform=ChunkWhitener(whiteners, means)
-        )
-    else:
-        accumulator = factory()
-        for chunks in iter_validated_chunks(stream):
-            accumulator.update(
-                [
-                    whitener @ (np.asarray(chunk, dtype=np.float64) - mean)
-                    for whitener, chunk, mean in zip(whiteners, chunks, means)
-                ]
-            )
-    return WhitenedTensor(
-        means=means,
-        whiteners=whiteners,
-        tensor=_compute_cast(accumulator.tensor(), dtype_policy),
-        epsilon=epsilon,
-    )
+
+
+def whitened_covariance_operator(
+    views, epsilon: float, *, policy=None, dtype_policy=None
+) -> WhitenedTensor:
+    """Whitening state with ``M`` as an implicit operator — no ``∏ d_p``.
+
+    The tensor-free counterpart of :func:`whitened_covariance_tensor`:
+    identical means and whiteners, but ``M`` is represented by a
+    :class:`~repro.tensor.operator.CovarianceTensorOperator` over the
+    whitened views, so peak memory stays ``O(Σ d_p (d_p + N))`` however
+    large ``∏ d_p`` grows. A parallel ``policy`` shards the moment pass
+    and threads the operator's blocked contraction kernels.
+    """
+    views = check_views(views, min_views=2)
+    moments = ingest_stage(MomentState(), views, policy=policy)
+    whitening = whiten_stage(moments, epsilon, policy=policy)
+    return _implicit_state(whitening, views, policy, dtype_policy)
 
 
 def whitened_covariance_operator_streaming(
@@ -1129,14 +1023,18 @@ def whitened_covariance_operator_streaming(
     """
     stream = as_view_stream(stream, chunk_size)
     policy = policy if _is_parallel(policy) else None
-    means, whiteners = _streaming_whitening_pass(stream, epsilon, policy)
+    moments = ingest_stage(MomentState(), stream, policy=policy)
+    whitening = whiten_stage(moments, epsilon, policy=policy)
     operator = CovarianceTensorOperator.from_stream(
         stream,
-        whiteners=whiteners,
-        means=means,
+        whiteners=whitening.whiteners,
+        means=whitening.means,
         policy=policy,
         dtype=None if dtype_policy is None else dtype_policy.compute,
     )
     return WhitenedTensor(
-        means=means, whiteners=whiteners, operator=operator, epsilon=epsilon
+        means=whitening.means,
+        whiteners=whitening.whiteners,
+        operator=operator,
+        epsilon=epsilon,
     )

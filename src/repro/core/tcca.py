@@ -341,9 +341,9 @@ class TCCA(MultiviewTransformer):
         :class:`~repro.datasets.synthetic.MultiviewDataset` / list of view
         matrices, wrapped automatically) chunk by chunk, so peak
         covariance-accumulation memory is independent of the sample count.
-        With the dense solver the tensor is assembled in two passes
-        (:func:`whitened_covariance_tensor_streaming`); with the implicit
-        solver nothing ``∏ d_p``-sized exists either — the solver
+        With the dense solver the stream is read once into the raw moment
+        state (:func:`whitened_covariance_tensor_streaming`); with the
+        implicit solver nothing ``∏ d_p``-sized exists either — the solver
         contracts against the stream directly
         (:func:`whitened_covariance_operator_streaming`). On the same data
         this yields the same canonical vectors as :meth:`fit` up to
@@ -352,8 +352,9 @@ class TCCA(MultiviewTransformer):
         Parameters
         ----------
         stream:
-            The chunked data source; iterated multiple times
-            (streams must be re-iterable).
+            The chunked data source. The implicit solver iterates it
+            several times (once per sweep), so it must then be
+            re-iterable; the dense solver reads it once.
         chunk_size:
             Optional chunk size forwarded to the stream wrapper.
         precomputed:
@@ -398,8 +399,9 @@ class TCCA(MultiviewTransformer):
         **warm-started** from the previous factors — near the previous
         optimum this re-converges in a small fraction of a cold refit's
         sweeps. After every call the model is fully fitted on *all*
-        samples seen by the session, matching a cold :meth:`fit` on the
-        concatenated data to tight tolerance.
+        samples seen by the session: its moments match a cold :meth:`fit`
+        on the concatenated data to round-off, but the warm-started solve
+        may settle in a different local optimum than the cold one.
 
         The first call starts the session and fixes its geometry (view
         dimensions) and resolved solver. With the dense solver the state

@@ -181,12 +181,10 @@ def shard_stream(stream, n_shards: int) -> list[ViewStream]:
     return shards
 
 
-def _accumulate_shard(factory, transform, shard):
+def _accumulate_shard(factory, shard):
     """Worker body: fresh accumulator, fold the shard's chunks in."""
     state = factory()
     for chunks in iter_validated_chunks(shard):
-        if transform is not None:
-            chunks = transform(chunks)
         state.update(chunks)
     return state
 
@@ -196,7 +194,6 @@ def accumulate_parallel(
     factory,
     policy: ExecutionPolicy | None = None,
     *,
-    transform=None,
     n_shards: int | None = None,
 ):
     """Map-reduce accumulation: per-shard states reduced with ``merge()``.
@@ -215,9 +212,6 @@ def accumulate_parallel(
     policy:
         The :class:`~repro.parallel.executors.ExecutionPolicy` to map
         shards across (default serial).
-    transform:
-        Optional per-chunk transform (e.g. whitening) applied before
-        ``update``; must be picklable for a process policy.
     n_shards:
         Shard count; defaults to the policy's worker count. The result
         is independent of this choice up to floating-point round-off.
@@ -231,22 +225,22 @@ def accumulate_parallel(
     if n_shards is None:
         n_shards = policy.n_workers
     if n_shards <= 1:
-        return _accumulate_shard(factory, transform, stream)
+        return _accumulate_shard(factory, stream)
     try:
         shards = shard_stream(stream, n_shards)
     except ValidationError:
         # Streams without an up-front chunk geometry cannot be sharded;
         # accumulate sequentially — parallelism is an optimization, not
         # part of the result contract.
-        return _accumulate_shard(factory, transform, stream)
-    worker = partial(_accumulate_shard, factory, transform)
+        return _accumulate_shard(factory, stream)
+    worker = partial(_accumulate_shard, factory)
     try:
         states = policy.map(worker, shards)
     except (pickle.PicklingError, AttributeError, TypeError):
         fallback = policy.for_shared_memory()
         if fallback is policy:
             raise
-        # The shards (or factory/transform) cannot cross a process
+        # The shards (or factory) cannot cross a process
         # boundary — e.g. a GeneratorViewStream whose chunk factory is
         # a closure, as the library's stream_*_like datasets build
         # them. Threads share memory and never pickle; same result.

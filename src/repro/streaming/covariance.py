@@ -479,10 +479,9 @@ class StreamingCovarianceTensor:
         ``(1/N) Σ (x_1−μ_1) ∘ … ∘ (x_m−μ_m)`` via shifted subset moments.
         ``False`` — accumulate the raw moment only (appropriate when the
         stream is pre-centered, e.g. whitened views); skips the
-        ``2^m − m − 1`` subset statistics.
-    shifts:
-        Optional per-view stabilizing shifts (see
-        :class:`StreamingCovariance`); default is the first chunk's means.
+        ``2^m − m − 1`` subset statistics. Centered accumulators shift
+        each view by its first chunk's mean (see
+        :class:`StreamingCovariance`); raw ones accumulate unshifted.
     track_view_covariances:
         ``True`` (default) also maintains the per-view second moments so
         :meth:`view_covariance` works — what a full streaming fit needs.
@@ -519,7 +518,6 @@ class StreamingCovarianceTensor:
         dims=None,
         *,
         center: bool = True,
-        shifts=None,
         track_view_covariances: bool = True,
         buffer_floats: int = DEFAULT_BUFFER_FLOATS,
         nan_policy: str = "raise",
@@ -532,7 +530,6 @@ class StreamingCovarianceTensor:
                 f"need at least 2 views, got dims={self._dims}"
             )
         self.center = bool(center)
-        self._requested_shifts = shifts
         self._track_view_covariances = bool(track_view_covariances)
         self.buffer_floats = int(buffer_floats)
         self.nan_policy = check_nan_policy(nan_policy)
@@ -556,19 +553,9 @@ class StreamingCovarianceTensor:
     def _allocate(self, dims: tuple[int, ...]) -> None:
         self._dims = dims
         m = len(dims)
-        if self._requested_shifts is None:
-            # Raw mode accumulates the moment of the data exactly as given
-            # (it is assumed pre-centered), so no stabilizing shift.
-            per_view_shifts = (
-                [0.0] * m if not self.center else [None] * m
-            )
-        else:
-            per_view_shifts = list(self._requested_shifts)
-            if len(per_view_shifts) != m:
-                raise ValidationError(
-                    f"need one shift per view ({m}), got "
-                    f"{len(per_view_shifts)}"
-                )
+        # Raw mode accumulates the moment of the data exactly as given
+        # (it is assumed pre-centered), so no stabilizing shift.
+        shift = None if self.center else 0.0
         self._views = [
             StreamingCovariance(
                 dim,
@@ -576,7 +563,7 @@ class StreamingCovarianceTensor:
                 second_moment=self._track_view_covariances,
                 dtype=self._dtype,
             )
-            for dim, shift in zip(dims, per_view_shifts)
+            for dim in dims
         ]
         self._moments = {
             subset: np.zeros(
@@ -663,7 +650,9 @@ class StreamingCovarianceTensor:
         re-expressed around this accumulator's shifts through the same
         multilinear expansion :meth:`tensor` uses, so the merge is exact in
         exact arithmetic. Raw accumulators (``center=False``) carry no
-        subset statistics to correct with and therefore must share shifts.
+        subset statistics to correct with and therefore must share shifts:
+        they are built unshifted, but a state restored by
+        :meth:`from_state_dict` carries whatever shift it was saved with.
         """
         if not isinstance(other, StreamingCovarianceTensor):
             raise ValidationError(
@@ -717,7 +706,7 @@ class StreamingCovarianceTensor:
             raise ValidationError(
                 "raw-mode (center=False) accumulators track no subset "
                 "statistics and can only be merged when their shifts "
-                "match; construct the shards with identical shifts"
+                "match"
             )
         if any(shifted_apart):
             from repro.tensor.dense import unfold

@@ -5,9 +5,10 @@ A :class:`ViewStream` yields aligned minibatches
 multi-view dataset without it ever being fully resident. Streams are
 *re-iterable*: :meth:`ViewStream.chunks` can be called repeatedly and
 yields the same chunk sequence each time, which lets multi-pass algorithms
-(e.g. the two-pass whitening of
-:func:`repro.core.tcca.whitened_covariance_tensor_streaming`) run on data
-that only exists chunk by chunk.
+(e.g. the stream-backed implicit solver of
+:func:`repro.core.tcca.whitened_covariance_operator_streaming`, which
+re-reads the stream on every sweep) run on data that only exists chunk by
+chunk.
 
 Two concrete sources cover the common cases:
 

@@ -39,23 +39,65 @@ def _minibatches(views, edges):
 
 
 class TestEngineStages:
-    def test_dense_build_matches_whiten_first_path(self, latent_views):
-        """M from stored raw moments == M from whitened data, to round-off.
+    def test_dense_build_matches_numpy_reference(self, latent_views):
+        """M from stored raw moments == Theorem 2 computed directly.
 
-        The cold path whitens the data then accumulates; the incremental
-        path accumulates raw moments then mode-multiplies with the
-        whiteners (Theorem 2 applied to stored statistics). Multilinearity
-        makes them equal in exact arithmetic.
+        The reference centers the views, whitens with an ``eigh``
+        inverse square root of ``C_pp + εI`` and contracts the raw
+        covariance tensor with ``einsum`` — no library code involved.
         """
+        epsilon = 1e-2
         moments = engine.ingest_stage(
             MomentState(track_tensor=True), latent_views
         )
-        whitening = engine.whiten_stage(moments, 1e-2)
+        whitening = engine.whiten_stage(moments, epsilon)
         built = engine.build_stage(moments, whitening, "dense")
-        cold = whitened_covariance_tensor(latent_views, 1e-2)
-        np.testing.assert_allclose(built.tensor, cold.tensor, atol=1e-10)
-        for mine, theirs in zip(whitening.whiteners, cold.whiteners):
-            np.testing.assert_allclose(mine, theirs, atol=1e-12)
+
+        n_samples = latent_views[0].shape[1]
+        centered = [
+            view - view.mean(axis=1, keepdims=True) for view in latent_views
+        ]
+        whiteners = []
+        for view in centered:
+            covariance = view @ view.T / n_samples
+            values, vectors = np.linalg.eigh(
+                covariance + epsilon * np.eye(view.shape[0])
+            )
+            whiteners.append((vectors / np.sqrt(values)) @ vectors.T)
+        raw = np.einsum("in,jn,kn->ijk", *centered) / n_samples
+        reference = np.einsum("ijk,ai,bj,ck->abc", raw, *whiteners)
+        np.testing.assert_allclose(built.tensor, reference, atol=1e-10)
+        for mine, theirs in zip(whitening.whiteners, whiteners):
+            np.testing.assert_allclose(mine, theirs, atol=1e-10)
+
+    def test_cold_fit_is_bit_identical_to_moment_fits(self, latent_views):
+        """fit, fit_moments and a first partial_fit share one arithmetic."""
+        def model():
+            # serial (not the REPRO_JOBS default): the caller-side ingest
+            # below runs serially, and sharding changes round-off
+            return TCCA(
+                n_components=3, solver="dense", random_state=0, n_jobs=1
+            )
+
+        cold = model().fit(latent_views)
+        reducer = model()
+        reduced = reducer.fit_moments(
+            engine.ingest_stage(
+                reducer.moment_state_for(
+                    [view.shape[0] for view in latent_views]
+                ),
+                latent_views,
+            )
+        )
+        refreshed = model().partial_fit(latent_views)
+        for other in (reduced, refreshed):
+            np.testing.assert_array_equal(
+                other.correlations_, cold.correlations_
+            )
+            for mine, theirs in zip(
+                other.canonical_vectors_, cold.canonical_vectors_
+            ):
+                np.testing.assert_array_equal(mine, theirs)
 
     def test_moment_policies_are_exclusive(self):
         with pytest.raises(ValidationError):

@@ -285,7 +285,7 @@ def test_accumulate_parallel_matches_single_pass(policy, n_shards):
     views = _latent_views((6, 5, 4), 160, seed=3, offset=1.5)
     stream = ArrayViewStream(views, chunk_size=24)
     factory = partial(MomentState, track_tensor=True)
-    serial = _accumulate_shard(factory, None, stream)
+    serial = _accumulate_shard(factory, stream)
     merged = accumulate_parallel(stream, factory, policy, n_shards=n_shards)
     assert merged.n_samples == serial.n_samples == 160
     np.testing.assert_allclose(
@@ -381,7 +381,7 @@ def test_sharded_fit_is_shard_order_invariant(policy):
     fits = []
     for order in ([0, 1, 2, 3], [3, 1, 0, 2], [2, 3, 1, 0]):
         states = policy.map(
-            partial(_accumulate_shard, factory, None),
+            partial(_accumulate_shard, factory),
             [shards[index] for index in order],
         )
         merged = states[0]

@@ -56,6 +56,7 @@ from repro.reliability import (
     uninstall_plan,
 )
 from repro.serve import ManualClock, MicroBatcher, ModelManager
+from repro.streaming import ArrayViewStream
 
 
 DIMS = (7, 5, 4)
@@ -699,11 +700,21 @@ class TestNanPolicy:
         with pytest.raises(ValidationError, match="nan_policy"):
             TCCA(nan_policy="ignore")
 
-    def test_one_shot_fit_still_strict(self):
+    @pytest.mark.parametrize("entry", ["fit", "fit_stream"])
+    @pytest.mark.parametrize("nan_policy", ["raise", "skip"])
+    def test_one_shot_fit_still_strict(self, nan_policy, entry):
+        """A one-shot dense fit rejects NaN whatever the session policy."""
         views = make_views(n=40)
         views[0][0, 0] = np.nan
-        with pytest.raises(ValidationError):
-            TCCA(n_components=2).fit(views)
+        # the stream leaves NaN screening to the fit's moment state
+        source = (
+            views
+            if entry == "fit"
+            else ArrayViewStream(views, chunk_size=16, require_finite=False)
+        )
+        model = TCCA(n_components=2, solver="dense", nan_policy=nan_policy)
+        with pytest.raises(ValidationError, match="NaN"):
+            getattr(model, entry)(source)
 
 
 # -- serve backpressure & reload breaker -------------------------------------

@@ -447,6 +447,36 @@ class TestStreamingTCCA:
         with pytest.raises(ValidationError):
             TCCA(n_components=5).fit_stream(stream)
 
+    @pytest.mark.parametrize("solver", ["dense", "implicit"])
+    def test_fit_stream_pass_count(self, solver):
+        """Dense fit_stream reads its stream once; implicit re-reads it.
+
+        Serial (``n_jobs=1``): a sharded ingest slices the arrays of an
+        ArrayViewStream directly and never starts a pass on the parent.
+        """
+
+        class CountingStream(ArrayViewStream):
+            # every consumer starts a pass through chunks() (which
+            # __iter__ delegates to)
+            passes = 0
+
+            def chunks(self):
+                self.passes += 1
+                return super().chunks()
+
+        data = make_multiview_latent(
+            n_samples=200, dims=(8, 7, 6), random_state=2
+        )
+        stream = CountingStream(data.views, chunk_size=64)
+        TCCA(
+            n_components=2, solver=solver, random_state=0, n_jobs=1
+        ).fit_stream(stream)
+        if solver == "dense":
+            assert stream.passes == 1
+        else:
+            # the stream-backed operator re-reads it on every sweep
+            assert stream.passes > 1
+
     def test_accumulation_memory_independent_of_n(self):
         """Peak accumulator memory must not scale with the sample count."""
         import tracemalloc
@@ -626,14 +656,19 @@ class TestStreamingCovarianceTensorMerge:
     def test_raw_mode_merge_requires_matching_shifts(self):
         rng = np.random.default_rng(4)
         views = [rng.standard_normal((4, 20)), rng.standard_normal((3, 20))]
-        left = StreamingCovarianceTensor(center=False, shifts=[0.0, 0.0])
+        left = StreamingCovarianceTensor(center=False)
         left.update(views)
-        right = StreamingCovarianceTensor(center=False, shifts=[1.0, 0.0])
-        right.update(views)
-        with pytest.raises(ValidationError):
+        # raw accumulators are built unshifted; a shifted one can only
+        # arrive as a restored state
+        state = StreamingCovarianceTensor(center=False).update(
+            views
+        ).state_dict()
+        state["views"][0]["shift"] = np.ones(4)
+        right = StreamingCovarianceTensor.from_state_dict(state)
+        with pytest.raises(ValidationError, match="shifts"):
             left.merge(right)
         # identical shifts merge exactly
-        same = StreamingCovarianceTensor(center=False, shifts=[0.0, 0.0])
+        same = StreamingCovarianceTensor(center=False)
         same.update(views)
         left.merge(same)
         assert left.n_samples == 40
