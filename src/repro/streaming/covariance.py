@@ -893,31 +893,49 @@ class StreamingCovarianceTensor:
         if not self.center:
             return fold(self._moments[full] / self._n, 0, self._dims)
 
+        def spread(array, axes):
+            # Broadcastable view of a tensor over the ascending ``axes``.
+            shape = [1] * m
+            for p in axes:
+                shape[p] = self._dims[p]
+            return np.reshape(array, shape)
+
         deltas = [
             accumulator._sum / self._n for accumulator in self._views
         ]
         nonzero = [bool(np.any(delta)) for delta in deltas]
-        total = np.zeros(self._dims, dtype=self._dtype)
-        for size in range(0, m + 1):
+        total = np.ascontiguousarray(
+            fold(self._moments[full] / self._n, 0, self._dims)
+        )
+        buffer = np.empty_like(total)
+        # Each correction term is one broadcast product into a reused
+        # buffer: the small factors are combined first, so only the last
+        # multiply touches ∏ d_p elements.
+        for size in range(2, m):
             for subset in combinations(range(m), size):
                 missing = [p for p in range(m) if p not in subset]
                 # δ_p = 0 for any missing view kills the whole term.
                 if any(not nonzero[p] for p in missing):
                     continue
                 sign = -1.0 if (m - size) % 2 else 1.0
-                if size >= 2:
-                    core = fold(
-                        self._moments[subset] / self._n,
-                        0,
-                        [self._dims[p] for p in subset],
-                    )
-                elif size == 1:
-                    core = deltas[subset[0]]
-                else:
-                    core = np.array(1.0)
-                term = core
-                for p in missing:
-                    term = np.multiply.outer(term, deltas[p])
-                order = list(subset) + missing
-                total += sign * np.transpose(term, np.argsort(order))
+                core = fold(
+                    self._moments[subset] / self._n,
+                    0,
+                    [self._dims[p] for p in subset],
+                )
+                outer = sign * spread(deltas[missing[0]], missing[:1])
+                for p in missing[1:]:
+                    outer = outer * spread(deltas[p], (p,))
+                np.multiply(spread(core, subset), outer, out=buffer)
+                total += buffer
+        if all(nonzero):
+            # The |T| ≤ 1 terms are all ±⊗_p δ_p (M̄_{p} = δ_p): m of
+            # sign (−1)^{m−1} and one of sign (−1)^m.
+            outer = (-1.0 if m % 2 == 0 else 1.0) * (m - 1) * spread(
+                deltas[0], (0,)
+            )
+            for p in range(1, m - 1):
+                outer = outer * spread(deltas[p], (p,))
+            np.multiply(outer, spread(deltas[m - 1], (m - 1,)), out=buffer)
+            total += buffer
         return total

@@ -2,15 +2,16 @@
 
 Both entry points produce the same mathematical initialization — leading
 left singular vectors per unfolding (``"hosvd"``) or unit-norm Gaussian
-columns (``"random"``) — but read the target differently:
-:func:`initialize_factors` from a dense tensor,
-:func:`initialize_factors_implicit` from a
-:class:`~repro.tensor.operator.CovarianceTensorOperator` via the mode
-Grams ``M_(p) M_(p)^T`` (whose eigenvectors are the unfolding's left
-singular vectors), never materializing a ``∏ d_p`` object. Column signs
-are canonicalized in both so the two paths hand the solvers the same
-starting point up to round-off — LAPACK's SVD and eigendecomposition sign
-choices are arbitrary and build-dependent.
+columns (``"random"``) — and compute the former the same way: as the
+leading eigenvectors of the ``(d_p, d_p)`` mode Grams ``M_(p) M_(p)^T``,
+never through an SVD of a ``d_p × ∏_{q≠p} d_q`` unfolding. They read the
+target differently: :func:`initialize_factors` forms each Gram from a
+dense tensor's unfolding, :func:`initialize_factors_implicit` asks a
+:class:`~repro.tensor.operator.CovarianceTensorOperator` for it without
+materializing a ``∏ d_p`` object. Column signs are canonicalized in both
+so the two paths hand the solvers the same starting point up to
+round-off — LAPACK's eigendecomposition sign choices are arbitrary and
+build-dependent.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ _INIT_METHODS = ("hosvd", "random")
 def _canonicalize_column_signs(factor: np.ndarray) -> np.ndarray:
     """Flip columns so each column's largest-|entry| pivot is positive.
 
-    Removes the sign indeterminacy of SVD/eigendecomposition outputs;
+    Removes the sign indeterminacy of eigendecomposition outputs;
     flipping init columns mirrors the ALS/HOPM trajectory exactly (the
     final :meth:`~repro.tensor.cp.CPTensor.canonicalize_signs` lands on
     the same representative), so this only makes runs reproducible across
@@ -103,6 +104,23 @@ def _pad_random(factor: np.ndarray, n_available: int, rng) -> None:
         )
 
 
+def _hosvd_factor(gram, n_columns: int, rank: int, dtype, rng) -> np.ndarray:
+    """Leading eigenvectors of a mode Gram, padded to ``rank`` columns.
+
+    ``n_columns`` is the unfolding's column count capped at its row count
+    — what ``svd(full_matrices=False)`` would return — so any random
+    padding consumes identical rng draws on both initialization paths.
+    """
+    _eigenvalues, eigenvectors = np.linalg.eigh(gram)
+    leading = eigenvectors[:, ::-1]  # eigh sorts ascending
+    size = gram.shape[0]
+    n_available = min(rank, n_columns)
+    factor = np.empty((size, rank), dtype=dtype)
+    factor[:, :n_available] = leading[:, :n_available]
+    _pad_random(factor, n_available, rng)
+    return factor
+
+
 def initialize_factors(
     tensor: np.ndarray,
     rank: int,
@@ -157,13 +175,13 @@ def initialize_factors(
             )
         else:
             unfolding = unfold(tensor, mode)
-            left, _singular_values, _right = np.linalg.svd(
-                unfolding, full_matrices=False
+            factor = _hosvd_factor(
+                unfolding @ unfolding.T,
+                min(unfolding.shape),
+                rank,
+                dtype,
+                rng,
             )
-            n_available = min(rank, left.shape[1])
-            factor = np.empty((size, rank), dtype=dtype)
-            factor[:, :n_available] = left[:, :n_available]
-            _pad_random(factor, n_available, rng)
         factors.append(_canonicalize_column_signs(_normalize_columns(factor)))
     return factors
 
@@ -181,13 +199,13 @@ def initialize_factors_implicit(
     The ``"hosvd"`` method eigendecomposes the ``(d_p, d_p)`` mode Grams
     ``M_(p) M_(p)^T`` the operator exposes — their leading eigenvectors
     are the unfolding's leading left singular vectors — so the cost is
-    ``O(Σ d_p³)`` plus the operator's Gram contractions instead of an SVD
-    of a ``d_p × ∏_{q≠p} d_q`` matrix. The ``"random"`` method draws the
-    exact same variates as the dense path (same shapes, same order), so
-    dense and implicit solves start bit-identically. ``factors_init``
-    bypasses both exactly as in :func:`initialize_factors` — and skips
-    the operator's Gram pass entirely, which on stream-backed operators
-    saves the nested data pass.
+    ``O(Σ d_p³)`` plus the operator's Gram contractions, and no
+    ``d_p × ∏_{q≠p} d_q`` unfolding is ever formed. The ``"random"``
+    method draws the exact same variates as the dense path (same shapes,
+    same order), so dense and implicit solves start bit-identically.
+    ``factors_init`` bypasses both exactly as in
+    :func:`initialize_factors` — and skips the operator's Gram pass
+    entirely, which on stream-backed operators saves the nested data pass.
     """
     dtype = np.dtype(getattr(operator, "dtype", np.float64))
     if factors_init is not None:
@@ -205,13 +223,6 @@ def initialize_factors_implicit(
                 dtype, copy=False
             )
         else:
-            eigenvalues, eigenvectors = np.linalg.eigh(
-                operator.mode_gram(mode)
-            )
-            del eigenvalues  # ascending order; only the ordering is used
-            leading = eigenvectors[:, ::-1]
-            # Mirror the dense path's svd(full_matrices=False) column
-            # count so any random padding consumes identical rng draws.
             n_columns = min(
                 size,
                 int(
@@ -221,9 +232,8 @@ def initialize_factors_implicit(
                     )
                 ),
             )
-            n_available = min(rank, n_columns)
-            factor = np.empty((size, rank), dtype=dtype)
-            factor[:, :n_available] = leading[:, :n_available]
-            _pad_random(factor, n_available, rng)
+            factor = _hosvd_factor(
+                operator.mode_gram(mode), n_columns, rank, dtype, rng
+            )
         factors.append(_canonicalize_column_signs(_normalize_columns(factor)))
     return factors

@@ -12,7 +12,7 @@ from repro.tensor.decomposition import (
     tensor_power_deflation,
 )
 from repro.tensor.decomposition.init import initialize_factors
-from repro.tensor.dense import frobenius_norm, outer_product
+from repro.tensor.dense import frobenius_norm, outer_product, unfold
 
 
 def _exact_cp_tensor(rng, shape=(5, 6, 4), rank=2):
@@ -33,6 +33,15 @@ class TestInitializeFactors:
             assert factor.shape == (small_tensor.shape[mode], 2)
             np.testing.assert_allclose(
                 np.linalg.norm(factor, axis=0), np.ones(2)
+            )
+
+    def test_hosvd_init_is_leading_left_singular_vectors(self, rng):
+        tensor = rng.standard_normal((6, 5, 4))
+        factors = initialize_factors(tensor, 3, random_state=0)
+        for mode, factor in enumerate(factors):
+            left = np.linalg.svd(unfold(tensor, mode))[0][:, :3]
+            np.testing.assert_allclose(
+                np.abs(np.sum(factor * left, axis=0)), np.ones(3), atol=1e-10
             )
 
     def test_random_init_unit_columns(self, small_tensor):
